@@ -7,7 +7,8 @@ Run it from the root of a checkout. The first run configures and builds the
 library and the driver under .bench_build/ (CMake, Ninja when available);
 later runs only re-check the build. Every run gets its own empty JIT cache
 (DCIR_CACHE_DIR) under .bench_build/runs/, removed afterwards, and a
-scrubbed environment: no DCIR_*, OMP_* or GOMP_* variable reaches the driver.
+scrubbed environment: no DCIR_*, OMP_* or GOMP_* variable reaches the driver,
+and TMPDIR points inside the run's directory.
 
 Untraced runs set up the workload SETUP_RUNS times, each in its own process
 with its own empty cache, and report the median as setup_s. Traced runs
@@ -49,6 +50,8 @@ def build():
     if not cmake:
         die("cmake not found")
     tree = os.path.join(BUILD, "cmake")
+    os.environ["TMPDIR"] = os.path.join(BUILD, "tmp")
+    os.makedirs(os.environ["TMPDIR"], exist_ok=True)
     if not os.path.isfile(os.path.join(tree, "CMakeCache.txt")):
         gen = ["-G", "Ninja"] if shutil.which("ninja") else []
         subprocess.run([cmake, "-S", HERE, "-B", tree, *gen,
@@ -64,6 +67,9 @@ def clean_env(cache_dir, cxx):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("DCIR_", "OMP_", "GOMP_"))}
     env["DCIR_CACHE_DIR"] = cache_dir
+    # Compiler temporaries stay inside the checkout too.
+    env["TMPDIR"] = os.path.join(cache_dir, "tmp")
+    os.makedirs(env["TMPDIR"], exist_ok=True)
     if cxx:
         env["DCIR_CXX"] = cxx
     return env

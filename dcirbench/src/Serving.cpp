@@ -330,8 +330,9 @@ int runServing(const Options &O, RunResult &Res) {
     return 1;
   }
 
-  // Warm re-compiles of both programs, half before and half after the
-  // timed region; the metric sums each program's median.
+  // Warm re-compiles of both programs, run between the slices of the
+  // timed region below (the shared host's speed drifts for seconds at a
+  // time); the metric sums each program's median.
   std::vector<double> WarmMs[2];
   auto WarmCompiles = [&](int Reps) {
     for (int Rep = 0; Rep < Reps && !O.Trace; ++Rep) {
@@ -346,7 +347,6 @@ int runServing(const Options &O, RunResult &Res) {
       WarmMs[1].push_back((nowNs() - T1) * 1e-6);
     }
   };
-  WarmCompiles(WarmCompileReps / 2);
 
   // One client: serve requests [0, Count) of its list (cycling), or whole
   // passes until the deadline when Count is 0.
@@ -452,22 +452,28 @@ int runServing(const Options &O, RunResult &Res) {
   std::vector<ClientSamples> All(Clients * 2);
   double ElapsedS = 0;
   std::vector<double> PhaseMedian;
+  // The timed region runs in slices with the warm re-compiles between
+  // them; a fixed request count (self-tests) runs as one slice.
+  const int Slices = O.Requests > 0 ? 1 : 10;
   for (int Phase = O.Trace ? 0 : 1; Phase < 2; ++Phase) {
     bool Traced = O.Trace && Phase == 1;
-    double Budget = O.Trace ? O.Seconds / 2 : O.Seconds;
-    trace::enable(Traced);
-    std::int64_t Start = nowNs();
-    std::int64_t Deadline = Start + static_cast<std::int64_t>(Budget * 1e9);
-    std::vector<std::thread> Ts;
-    for (int C = 0; C < Clients; ++C)
-      Ts.emplace_back(Client, C, Deadline,
-                      O.Requests > 0 ? static_cast<std::size_t>(O.Requests)
-                                     : 0,
-                      std::ref(All[Phase * Clients + C]));
-    for (std::thread &T : Ts)
-      T.join();
-    ElapsedS += (nowNs() - Start) * 1e-9;
-    trace::enable(false);
+    double Budget = (O.Trace ? O.Seconds / 2 : O.Seconds) / Slices;
+    for (int Slice = 0; Slice < Slices; ++Slice) {
+      trace::enable(Traced);
+      std::int64_t Start = nowNs();
+      std::int64_t Deadline = Start + static_cast<std::int64_t>(Budget * 1e9);
+      std::vector<std::thread> Ts;
+      for (int C = 0; C < Clients; ++C)
+        Ts.emplace_back(Client, C, Deadline,
+                        O.Requests > 0 ? static_cast<std::size_t>(O.Requests)
+                                       : 0,
+                        std::ref(All[Phase * Clients + C]));
+      for (std::thread &T : Ts)
+        T.join();
+      ElapsedS += (nowNs() - Start) * 1e-9;
+      trace::enable(false);
+      WarmCompiles(WarmCompileReps / Slices);
+    }
     std::vector<double> Lat;
     for (int C = 0; C < Clients; ++C) {
       const auto &V = All[Phase * Clients + C].LatencyNs;
@@ -475,7 +481,6 @@ int runServing(const Options &O, RunResult &Res) {
     }
     PhaseMedian.push_back(median(Lat));
   }
-  WarmCompiles(WarmCompileReps - WarmCompileReps / 2);
   const api::ProgramStats SAfter = Ps.Scatter->stats();
   const api::ProgramStats GAfter = Ps.Gemm->stats();
   std::uint64_t GuardPass = SAfter.SpeculationPass - SBefore.SpeculationPass;
